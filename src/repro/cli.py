@@ -229,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--local-backend", default=None, metavar="NAME",
-        help="per-shard backend for mp-shard workers (default codegen_np)",
+        help="backend that builds the mp-shard workers' kernels: "
+        "codegen_np (default), codegen_py or c",
     )
 
     estimate_parser = sub.add_parser("estimate", help="estimate cost")

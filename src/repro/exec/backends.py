@@ -1,6 +1,6 @@
 """The execution-backend registry.
 
-Three ways to execute a scalarized program, one calling convention:
+Six ways to execute a scalarized program, one calling convention:
 
 ``interp``
     The tree-walking loop interpreter (:mod:`repro.interp.loop_interp`).
@@ -35,7 +35,8 @@ Three ways to execute a scalarized program, one calling convention:
     The multi-process sharded backend (:mod:`repro.exec.mp_shard`):
     regions are block-partitioned across worker *processes* on a
     :class:`repro.parallel.distribution.ProcessorGrid`, each worker runs
-    one of the single-process backends on its clamped sub-region
+    its clamped sub-regions through kernels one of ``codegen_np``,
+    ``codegen_py`` or ``c`` builds once per program before the fork
     (``local_backend=``, default ``codegen_np``), and halos move through
     ``multiprocessing.shared_memory`` on exactly the exchange schedules
     :mod:`repro.parallel.commopt` derives.  Accepts ``procs=`` (default

@@ -1,11 +1,13 @@
 """Multi-process sharded execution: the communication model, executed.
 
 ``mp-shard`` partitions every region across worker *processes* laid out
-on a :class:`~repro.parallel.distribution.ProcessorGrid`, runs the
-existing single-process backends (``codegen_np`` by default — ``py`` and
-``c`` work too) on each worker's clamped sub-region, and moves halo data
-between workers through ``multiprocessing.shared_memory`` using exactly
-the exchange schedules :mod:`repro.parallel.commopt` derives:
+on a :class:`~repro.parallel.distribution.ProcessorGrid`, runs each
+worker's clamped sub-region through kernels the local backend
+(``codegen_np`` by default — ``py`` and ``c`` work too) builds once per
+program before the fork (:mod:`repro.exec.shard_kernels`), and moves
+halo data between workers through ``multiprocessing.shared_memory``
+using exactly the exchange schedules :mod:`repro.parallel.commopt`
+derives:
 
 * **message vectorization** is implicit — each planned copy is one whole
   border strip written as a single contiguous segment write;
@@ -29,7 +31,8 @@ execution on rank 0 (gather → execute → scatter, counted under
 an array an earlier statement of the same nest wrote (a true fusion-made
 recurrence — the §5.5 ``FAVOR_COMM`` policy exists to avoid creating
 these), and circular-buffer (partially contracted) arrays cut along
-their buffered dimension.
+their buffered dimension.  A program with a boundary statement runs
+whole in the calling process before any fork (``comm.fallback_programs``).
 
 Bit-identity with the single-process oracle is a design invariant, not a
 tolerance: clamped nests compute the same elementwise values (halos hold
@@ -51,37 +54,37 @@ import multiprocessing
 import os
 import pickle
 import struct
+import sys
 import time
 import traceback
 import uuid
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from multiprocessing import resource_tracker, shared_memory
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ir import expr as ir
-from repro.ir.region import Region
+from repro.exec.shard_kernels import (
+    KERNEL_BACKENDS,
+    KernelTable,
+    NodeKernels,
+    kernel_table,
+    scalar_value,
+)
+from repro.interp.evalexpr import eval_scalar
 from repro.parallel.commopt import ALL_COMM_OPTS, CommOptions
 from repro.parallel.distribution import ProcessorGrid
 from repro.parallel.shard import (
     ELEM_BYTES,
     RunPlan,
     ShardError,
-    ShardLayout,
-    nest_fallback_reason,
     plan_run,
+    program_fallback_reason,
     program_rank,
 )
-from repro.scalarize.emit_common import (
-    DTYPES,
-    infer_expr_kind,
-    int_config_env,
-    validate_inputs,
-)
+from repro.scalarize.emit_common import DTYPES, validate_inputs
 from repro.scalarize.loopnest import (
-    ElemAssign,
     LoopNest,
     ReductionLoop,
-    SBoundary,
     ScalarAssign,
     ScalarProgram,
     SeqLoop,
@@ -89,7 +92,11 @@ from repro.scalarize.loopnest import (
     SNode,
     SWhile,
 )
-from repro.util.errors import ReproError
+from repro.util.errors import (
+    BackendUnavailableError,
+    InterpError,
+    ReproError,
+)
 
 Bounds = Tuple[Tuple[int, int], ...]
 
@@ -97,7 +104,20 @@ _SCALAR_DEFAULTS = {"float": 0.0, "integer": 0, "boolean": False}
 
 _SCAL_SEG_BYTES = 1 << 20
 _BARRIER_TIMEOUT_S = 120.0
-_RED_PREFIX = "__shard_red"
+
+#: Counters every run reports (zero when nothing happened).
+_COUNTERS = (
+    "comm.exchanges",
+    "comm.bytes",
+    "comm.combined",
+    "comm.eliminated",
+    "comm.fallback_nests",
+    "comm.fallback_programs",
+    "comm.reduce_bytes",
+    "comm.gather_bytes",
+    "mp_shard.kernels_built",
+    "mp_shard.worker_compiles",
+)
 
 
 def default_procs() -> int:
@@ -206,66 +226,22 @@ def _intersect(a: Bounds, b: Bounds) -> Optional[Bounds]:
     return tuple(out)
 
 
-def _scalar_value(value: object) -> object:
-    """A plain Python value for ``Const`` baking (exact repr round-trip)."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
-def _node_scalar_reads(node: SNode) -> Set[str]:
-    names: Set[str] = set()
-    exprs: List[ir.IRExpr] = []
-    if isinstance(node, LoopNest):
-        exprs = [stmt.rhs for stmt in node.body]
-    elif isinstance(node, ReductionLoop):
-        exprs = [node.operand]
-    for expr in exprs:
-        for sub in expr.walk():
-            if isinstance(sub, ir.ScalarRef):
-                names.add(sub.name)
-    return names
-
-
-def _node_arrays(node: SNode) -> Set[str]:
-    names: Set[str] = set()
-    if isinstance(node, LoopNest):
-        for stmt in node.body:
-            if stmt.target is not None:
-                names.add(stmt.target)
-            for ref in stmt.rhs.array_refs():
-                names.add(ref.name)
-    elif isinstance(node, ReductionLoop):
-        for ref in node.operand.array_refs():
-            names.add(ref.name)
-    return names
-
-
-def _written_arrays(node: SNode) -> Set[str]:
-    if isinstance(node, LoopNest):
-        return {stmt.target for stmt in node.body if stmt.target is not None}
-    return set()
-
-
 # -- the worker ------------------------------------------------------------
 
 
 class _Worker:
     """One shard: local arrays, replicated scalars, the lockstep walk."""
 
-    def __init__(self, rank: int, program: ScalarProgram, layout: ShardLayout,
-                 options: CommOptions, local_backend: str, sid: str,
-                 barrier, inputs: Optional[Mapping[str, np.ndarray]]) -> None:
+    def __init__(self, rank: int, program: ScalarProgram, table: KernelTable,
+                 options: CommOptions, sid: str, barrier,
+                 inputs: Optional[Mapping[str, np.ndarray]]) -> None:
         self.rank = rank
         self.program = program
-        self.layout = layout
+        self.table = table
+        self.layout = layout = table.layout
         self.options = options
-        self.local_backend = local_backend
         self.sid = sid
         self.barrier = barrier
-        self.config_env = int_config_env(program.configs)
         self.scalars: Dict[str, object] = {
             name: _SCALAR_DEFAULTS[kind]
             for name, kind in program.scalars.items()
@@ -284,36 +260,33 @@ class _Worker:
                     ]
             self.locals[name] = array
         self.segments: Dict[str, object] = {}
-        self.created: List[str] = []
         self.plan_cache: Dict[object, Tuple[RunPlan, str]] = {}
+        #: Plans this execute computed; rank 0 hands them back so the
+        #: next execute's ranks inherit them with the kernel table.
+        self.new_plans: Dict[object, RunPlan] = {}
         self.next_seg = 0
         self.next_ordinal = 0
         self.measured: Dict[int, int] = {}
         self.records: List[ExchangeRecord] = []
-        self.counters: Dict[str, int] = {
-            "comm.exchanges": 0,
-            "comm.bytes": 0,
-            "comm.combined": 0,
-            "comm.eliminated": 0,
-            "comm.fallback_nests": 0,
-            "comm.reduce_bytes": 0,
-            "comm.gather_bytes": 0,
-        }
+        self.counters: Dict[str, int] = {name: 0 for name in _COUNTERS}
         self._inflight: Dict[int, float] = {}
         self._steps = 0
 
     # -- shared memory -----------------------------------------------------
 
     def _segment(self, name: str, size: int):
+        """Rank 0 creates, the others attach.
+
+        Every rank shares the coordinator's resource tracker, whose
+        registry is a set: an attach re-registers a name rank 0 already
+        registered, and rank 0's ``unlink`` clears it once for all.
+        """
         seg = self.segments.get(name)
         if seg is not None:
             return seg
-        from multiprocessing import shared_memory
-
         size = max(size, 1)
         if self.rank == 0:
             seg = shared_memory.SharedMemory(name=name, create=True, size=size)
-            self.created.append(name)
             self.barrier.wait(_BARRIER_TIMEOUT_S)
         else:
             self.barrier.wait(_BARRIER_TIMEOUT_S)
@@ -348,10 +321,8 @@ class _Worker:
         self.barrier.wait(_BARRIER_TIMEOUT_S)
         return out
 
-    # -- env and mini-program construction ---------------------------------
-
     def _region_env(self) -> Dict[str, int]:
-        env = dict(self.config_env)
+        env = dict(self.layout.env)
         env.update(
             (name, int(value))
             for name, value in self.scalars.items()
@@ -359,54 +330,6 @@ class _Worker:
             and not isinstance(value, bool)
         )
         return env
-
-    def _scalar_kind(self, name: str) -> str:
-        return self.program.scalars.get(name, "float")
-
-    def _prologue(self, names: Set[str]) -> List[SNode]:
-        return [
-            ScalarAssign(name, ir.Const(_scalar_value(self.scalars[name])))
-            for name in sorted(names)
-            if name in self.scalars
-        ]
-
-    def _mini(self, body_node: SNode,
-              allocs: Dict[str, Tuple[Bounds, str]]) -> ScalarProgram:
-        scalar_names = _node_scalar_reads(body_node)
-        scalar_kinds = {
-            name: self._scalar_kind(name) for name in scalar_names
-        }
-        if isinstance(body_node, LoopNest):
-            for stmt in body_node.body:
-                if stmt.scalar_target is not None:
-                    scalar_kinds[stmt.scalar_target] = self._scalar_kind(
-                        stmt.scalar_target
-                    )
-        elif isinstance(body_node, ReductionLoop):
-            scalar_kinds[body_node.target] = self._scalar_kind(
-                body_node.target
-            )
-        partial = {
-            name: spec for name, spec in self.program.partial.items()
-            if name in allocs
-        }
-        return ScalarProgram(
-            self.program.name + "__shard",
-            {},
-            {
-                name: (Region.literal(*bounds), kind)
-                for name, (bounds, kind) in allocs.items()
-            },
-            scalar_kinds,
-            self._prologue(scalar_names) + [body_node],
-            partial=partial,
-        )
-
-    def _execute_mini(self, mini: ScalarProgram,
-                      arrays: Mapping[str, np.ndarray]):
-        from repro.exec.backends import execute
-
-        return execute(mini, self.local_backend, initial_arrays=dict(arrays))
 
     # -- exchange execution ------------------------------------------------
 
@@ -449,19 +372,19 @@ class _Worker:
 
     # -- run execution -----------------------------------------------------
 
-    def _plan_for(self, run: Sequence[SNode],
-                  env: Mapping[str, int]) -> Tuple[RunPlan, str]:
-        bounds_key = tuple(
-            tuple(node.region.concrete_bounds(env)) for node in run
-        )
-        key = (tuple(id(node) for node in run), bounds_key)
+    def _plan_for(self, run: Sequence[SNode], env: Mapping[str, int],
+                  bounds: Tuple[Bounds, ...]) -> Tuple[RunPlan, str]:
+        key = (repr(self.options), tuple(id(node) for node in run), bounds)
         entry = self.plan_cache.get(key)
         if entry is None:
-            fallback = tuple(
-                index for index, node in enumerate(run)
-                if nest_fallback_reason(node, self.layout, self.program.partial)
-            )
-            plan = plan_run(run, self.layout, env, self.options, fallback)
+            plan = self.table.plans.get(key)
+            if plan is None:
+                fallback = tuple(
+                    index for index, node in enumerate(run)
+                    if self.table.node(node).whole is not None
+                )
+                plan = plan_run(run, self.layout, env, self.options, fallback)
+                self.new_plans[key] = plan
             name = "%s_x%d" % (self.sid, self.next_seg)
             self.next_seg += 1
             entry = (plan, name)
@@ -470,7 +393,8 @@ class _Worker:
 
     def _exec_run(self, run: Sequence[SNode]) -> None:
         env = self._region_env()
-        plan, seg_name = self._plan_for(run, env)
+        bounds = tuple(tuple(node.region.concrete_bounds(env)) for node in run)
+        plan, seg_name = self._plan_for(run, env, bounds)
         seg = (
             self._segment(seg_name, plan.segment_bytes)
             if plan.segment_bytes else None
@@ -540,55 +464,54 @@ class _Worker:
                                 ) * 1e6
             if step < len(run):
                 node = run[step]
-                if step in fallback:
-                    self._exec_fallback(node, env, seg_name, step)
+                if not _elements(bounds[step]):
+                    # As in the oracle: an empty nest does nothing, an
+                    # empty reduction loop is an error.
+                    if isinstance(node, ReductionLoop):
+                        raise InterpError("reduction over an empty region")
+                elif step in fallback:
+                    self._exec_fallback(node, bounds[step], seg_name, step)
                 else:
-                    self._exec_clamped(node, env, seg_name, step)
+                    self._exec_clamped(node, bounds[step], seg_name, step)
 
     # -- node execution ----------------------------------------------------
 
-    def _local_allocs_for(self, names: Set[str]) -> Dict[str, Tuple[Bounds, str]]:
-        return {
-            name: (self.local_bounds[name], self.layout.allocs[name][1])
-            for name in sorted(names)
-        }
-
-    def _exec_clamped(self, node: SNode, env: Mapping[str, int],
+    def _exec_clamped(self, node: SNode, bounds: Bounds,
                       seg_prefix: str, step: int) -> None:
-        bounds = tuple(node.region.concrete_bounds(env))
+        entry = self.table.node(node)
         clamp = self.layout.clamp(self.rank, bounds)
-        reduce_specs = self._reduce_specs(node)
-        corner_names = self._corner_scalar_names(node)
-        arrays = _node_arrays(node)
-        result = None
+        buffers = {
+            name: (self.locals[name], self.local_bounds[name])
+            for name in entry.arrays
+        }
+        scratch = (
+            self._scratch(entry, bounds, "%s_r%d" % (seg_prefix, step))
+            if entry.reductions else {}
+        )
+        buffers.update((name, (view, bounds)) for name, view in scratch.items())
+        values: Dict[str, object] = {}
         if clamp is not None:
-            allocs = self._local_allocs_for(arrays)
-            if reduce_specs:
-                exec_node = self._materialized(node, clamp, reduce_specs)
-                for red_name, _op, _target, rhs in reduce_specs:
-                    kind = infer_expr_kind(
-                        rhs,
-                        {n: k for n, (_b, k) in self.layout.allocs.items()},
-                        self.program.scalars,
-                    )
-                    allocs[red_name] = (clamp, kind)
-            else:
-                exec_node = LoopNest(
-                    Region.literal(*clamp), node.structure, node.body,
-                    cluster_id=node.cluster_id,
-                    carried_depth=node.carried_depth,
-                )
-            mini = self._mini(exec_node, allocs)
-            result = self._execute_mini(mini, {
-                name: self.locals[name] for name in arrays
-            })
-            for name in _written_arrays(node):
-                self.locals[name] = result.arrays[name]
-        if reduce_specs:
-            self._combine_reductions(
-                node, bounds, clamp, reduce_specs, result, seg_prefix, step
+            values = entry.block.run(clamp, buffers, self.scalars)
+            self.counters["comm.reduce_bytes"] += (
+                len(scratch) * _elements(clamp) * ELEM_BYTES
             )
-        if corner_names:
+        if scratch:
+            # Rank 0 folds the assembled per-point operands over the full
+            # region in the oracle's order, then broadcasts.
+            self.barrier.wait(_BARRIER_TIMEOUT_S)
+            payload = None
+            if self.rank == 0:
+                folded = entry.fold.run(
+                    bounds,
+                    {name: (view, bounds) for name, view in scratch.items()},
+                    self.scalars,
+                )
+                payload = {
+                    target: scalar_value(folded[target])
+                    for _name, _kind, target in entry.reductions
+                }
+            self.scalars.update(self._bcast(0, payload))
+        if entry.corner:
             structure = (
                 node.structure if isinstance(node, LoopNest)
                 else tuple(range(1, len(bounds) + 1))
@@ -597,202 +520,71 @@ class _Worker:
             payload = None
             if self.rank == owner:
                 payload = {
-                    name: _scalar_value(result.scalars[name])
-                    for name in corner_names
+                    name: scalar_value(values[name]) for name in entry.corner
                 }
-            updates = self._bcast(owner, payload)
-            self.scalars.update(updates)
+            self.scalars.update(self._bcast(owner, payload))
 
-    def _reduce_specs(self, node: SNode):
-        """(scratch array, op, accumulator scalar, operand) per reduction."""
-        specs = []
-        if isinstance(node, ReductionLoop):
-            specs.append((_RED_PREFIX + "0", node.op, node.target, node.operand))
-        elif isinstance(node, LoopNest):
-            for index, stmt in enumerate(node.body):
-                if stmt.reduce_op is not None:
-                    specs.append((
-                        "%s%d" % (_RED_PREFIX, index),
-                        stmt.reduce_op,
-                        stmt.scalar_target,
-                        stmt.rhs,
-                    ))
-        return specs
-
-    def _corner_scalar_names(self, node: SNode) -> List[str]:
-        if not isinstance(node, LoopNest):
-            return []
-        return [
-            stmt.scalar_target for stmt in node.body
-            if stmt.is_contracted and stmt.reduce_op is None
-        ]
-
-    def _materialized(self, node: SNode, clamp: Bounds, reduce_specs) -> SNode:
-        """The clamped nest with reductions turned into scratch writes.
-
-        Every reduce statement becomes an elementwise store of its
-        operand into a per-statement scratch array, *in place* in the
-        body so earlier contraction scalars still feed it; rank 0 then
-        folds the assembled full-region scratch in the oracle's order.
-        """
-        region = Region.literal(*clamp)
-        if isinstance(node, ReductionLoop):
-            body = [ElemAssign(reduce_specs[0][0], None, node.operand)]
-            structure = tuple(range(1, len(clamp) + 1))
-            return LoopNest(region, structure, body, carried_depth=0)
-        by_index = {
-            int(name[len(_RED_PREFIX):]): name
-            for name, _op, _target, _rhs in reduce_specs
-        }
-        body = []
-        for index, stmt in enumerate(node.body):
-            if index in by_index:
-                body.append(ElemAssign(by_index[index], None, stmt.rhs))
-            else:
-                body.append(stmt)
-        return LoopNest(
-            region, node.structure, body,
-            cluster_id=node.cluster_id, carried_depth=node.carried_depth,
-        )
-
-    def _combine_reductions(self, node: SNode, bounds: Bounds,
-                            clamp: Optional[Bounds], reduce_specs, result,
-                            seg_prefix: str, step: int) -> None:
-        """Gather per-point operands to rank 0; fold in oracle order."""
-        offsets: Dict[str, int] = {}
-        cursor = 0
+    def _scratch(self, entry: NodeKernels, bounds: Bounds,
+                 name: str) -> Dict[str, np.ndarray]:
+        """Full-region scratch arrays, one per reduction, in one segment."""
         full = _elements(bounds)
-        kinds: Dict[str, str] = {}
-        for red_name, _op, _target, rhs in reduce_specs:
-            kinds[red_name] = infer_expr_kind(
-                rhs,
-                {n: k for n, (_b, k) in self.layout.allocs.items()},
-                self.program.scalars,
+        seg = self._segment(name, len(entry.reductions) * full * ELEM_BYTES)
+        return {
+            scratch: np.ndarray(
+                _shape_of(bounds), dtype=DTYPES[kind],
+                buffer=seg.buf, offset=index * full * ELEM_BYTES,
             )
-            offsets[red_name] = cursor
-            cursor += full * ELEM_BYTES
-        seg = self._segment("%s_r%d" % (seg_prefix, step), cursor)
-        if clamp is not None and result is not None:
-            for red_name in offsets:
-                view = np.ndarray(
-                    _shape_of(bounds), dtype=DTYPES[kinds[red_name]],
-                    buffer=seg.buf, offset=offsets[red_name],
-                )
-                view[_index(bounds, clamp)] = result.arrays[red_name]
-                self.counters["comm.reduce_bytes"] += (
-                    _elements(clamp) * ELEM_BYTES
-                )
-        self.barrier.wait(_BARRIER_TIMEOUT_S)
-        payload = None
-        if self.rank == 0:
-            zeros = (0,) * len(bounds)
-            region = Region.literal(*bounds)
-            scratch = {
-                red_name: np.ndarray(
-                    _shape_of(bounds), dtype=DTYPES[kinds[red_name]],
-                    buffer=seg.buf, offset=offsets[red_name],
-                ).copy()
-                for red_name in offsets
-            }
-            if isinstance(node, ReductionLoop):
-                red_name, op, target, _rhs = reduce_specs[0]
-                fold: SNode = ReductionLoop(
-                    target, op, region, ir.ArrayRef(red_name, zeros)
-                )
-            else:
-                fold = LoopNest(
-                    region,
-                    node.structure,
-                    [
-                        ElemAssign(
-                            None, target, ir.ArrayRef(red_name, zeros),
-                            reduce_op=op,
-                        )
-                        for red_name, op, target, _rhs in reduce_specs
-                    ],
-                    carried_depth=0,
-                )
-            allocs = {
-                red_name: (bounds, kinds[red_name]) for red_name in offsets
-            }
-            mini = self._mini(fold, allocs)
-            # Fused reductions fold from the accumulator's pre-nest value
-            # (the oracle's ``acc = acc + np.sum(...)``), so seed it.
-            mini.body = [
-                ScalarAssign(
-                    target, ir.Const(_scalar_value(self.scalars[target]))
-                )
-                for _red, _op, target, _rhs in reduce_specs
-            ] + mini.body
-            folded = self._execute_mini(mini, scratch)
-            payload = {
-                target: _scalar_value(folded.scalars[target])
-                for _red, _op, target, _rhs in reduce_specs
-            }
-        updates = self._bcast(0, payload)
-        self.scalars.update(updates)
+            for index, (scratch, kind, _target) in enumerate(entry.reductions)
+        }
 
-    def _exec_fallback(self, node: SNode, env: Mapping[str, int],
+    def _exec_fallback(self, node: SNode, bounds: Bounds,
                        seg_prefix: str, step: int) -> None:
         """Gather → execute the whole nest on rank 0 → scatter."""
-        arrays = sorted(_node_arrays(node))
+        entry = self.table.node(node)
+        allocs = self.layout.allocs
         offsets: Dict[str, int] = {}
         cursor = 0
-        for name in arrays:
+        for name in entry.arrays:
             offsets[name] = cursor
-            cursor += _elements(self.layout.allocs[name][0]) * ELEM_BYTES
+            cursor += _elements(allocs[name][0]) * ELEM_BYTES
         seg = self._segment("%s_f%d" % (seg_prefix, step), cursor)
         views = {
             name: np.ndarray(
-                _shape_of(self.layout.allocs[name][0]),
-                dtype=DTYPES[self.layout.allocs[name][1]],
+                _shape_of(allocs[name][0]), dtype=DTYPES[allocs[name][1]],
                 buffer=seg.buf, offset=offsets[name],
             )
-            for name in arrays
+            for name in entry.arrays
         }
-        for name in arrays:
-            own = self.layout.owned_box(self.rank, self.layout.allocs[name][0])
+        for name in entry.arrays:
+            own = self.layout.owned_box(self.rank, allocs[name][0])
             if own is None:
                 continue
-            views[name][_index(self.layout.allocs[name][0], own)] = (
+            views[name][_index(allocs[name][0], own)] = (
                 self.locals[name][_index(self.local_bounds[name], own)]
             )
         self.barrier.wait(_BARRIER_TIMEOUT_S)
         payload = None
         if self.rank == 0:
             self.counters["comm.gather_bytes"] += cursor
-            allocs = {
-                name: (self.layout.allocs[name][0], self.layout.allocs[name][1])
-                for name in arrays
-            }
-            mini = self._mini(node, allocs)
-            result = self._execute_mini(
-                mini, {name: views[name].copy() for name in arrays}
+            values = entry.whole.run(
+                bounds,
+                {name: (views[name], allocs[name][0]) for name in entry.arrays},
+                self.scalars,
             )
-            for name in _written_arrays(node):
-                views[name][...] = result.arrays[name]
-            names = list(self._corner_scalar_names(node))
-            if isinstance(node, ReductionLoop):
-                names.append(node.target)
-            elif isinstance(node, LoopNest):
-                names.extend(
-                    stmt.scalar_target for stmt in node.body
-                    if stmt.reduce_op is not None
-                )
             payload = {
-                name: _scalar_value(result.scalars[name]) for name in names
+                name: scalar_value(values[name])
+                for name in entry.corner + [t for _n, _k, t in entry.reductions]
             }
         self.barrier.wait(_BARRIER_TIMEOUT_S)
-        for name in _written_arrays(node):
+        for name in entry.written:
             local = self.local_bounds[name]
             if _elements(local) > 0:
                 self.locals[name][...] = np.reshape(
-                    views[name][_index(self.layout.allocs[name][0], local)],
+                    views[name][_index(allocs[name][0], local)],
                     self.locals[name].shape,
                 )
         self.barrier.wait(_BARRIER_TIMEOUT_S)
-        updates = self._bcast(0, payload)
-        self.scalars.update(updates)
+        self.scalars.update(self._bcast(0, payload))
 
     # -- the walk ----------------------------------------------------------
 
@@ -802,8 +594,6 @@ class _Worker:
             raise ShardError("step limit exceeded (runaway loop?)")
 
     def execute_body(self, body: Sequence[SNode]) -> None:
-        from repro.interp.evalexpr import eval_scalar
-
         index = 0
         while index < len(body):
             node = body[index]
@@ -837,10 +627,6 @@ class _Worker:
                 while bool(eval_scalar(node.cond, self.scalars)):
                     self._tick()
                     self.execute_body(node.body)
-            elif isinstance(node, SBoundary):
-                raise ShardError(
-                    "boundary statements are not supported under sharding"
-                )
             else:
                 raise ShardError("cannot execute %r sharded" % (node,))
             index += 1
@@ -851,8 +637,6 @@ class _Worker:
             bounds, kind = self.layout.allocs[name]
             seg = self.segments.get(seg_name)
             if seg is None:
-                from multiprocessing import shared_memory
-
                 seg = shared_memory.SharedMemory(name=seg_name)
                 self.segments[seg_name] = seg
             view = np.ndarray(
@@ -866,9 +650,10 @@ class _Worker:
         summary = {
             "rank": self.rank,
             "measured": self.measured,
-            "counters": self.counters,
+            "counters": dict(self.counters),
         }
         if self.rank == 0:
+            summary["plans"] = self.new_plans
             summary["scalars"] = {
                 name: self.scalars[name] for name in self.program.scalars
             }
@@ -889,19 +674,28 @@ class _Worker:
         return summary
 
 
-def _worker_main(rank: int, program: ScalarProgram, layout: ShardLayout,
-                 options: CommOptions, local_backend: str, sid: str,
-                 barrier, inputs, out_names: Mapping[str, str],
-                 result_queue, error_queue) -> None:
+def _worker_main(rank: int, program: ScalarProgram, table: KernelTable,
+                 options: CommOptions, sid: str, barrier, inputs,
+                 out_names: Mapping[str, str], result_queue,
+                 error_queue) -> None:
+    compiles = [0]
+
+    def audit(event: str, _args) -> None:
+        # Kernels are built before the fork; count any code generation
+        # that still happens in a rank (compile() or a cc spawn).
+        if event in ("compile", "subprocess.Popen"):
+            compiles[0] += 1
+
+    sys.addaudithook(audit)
     worker = None
     try:
-        worker = _Worker(
-            rank, program, layout, options, local_backend, sid, barrier, inputs
-        )
+        worker = _Worker(rank, program, table, options, sid, barrier, inputs)
         worker.execute_body(program.body)
+        worker.counters["mp_shard.worker_compiles"] = compiles[0]
         result_queue.put(worker.finish(out_names))
-    except BaseException:
-        error_queue.put((rank, traceback.format_exc()))
+    except BaseException as exc:
+        message = str(exc) if isinstance(exc, InterpError) else None
+        error_queue.put((rank, traceback.format_exc(), message))
         try:
             barrier.abort()
         except (ValueError, OSError):
@@ -929,16 +723,9 @@ def _single_process(program: ScalarProgram, initial_arrays, local_backend,
     from repro.exec.backends import execute
 
     result = execute(program, local_backend, initial_arrays=initial_arrays)
-    report = CommReport(procs, grid.shape, [], {
-        "comm.exchanges": 0,
-        "comm.bytes": 0,
-        "comm.combined": 0,
-        "comm.eliminated": 0,
-        "comm.fallback_nests": 0,
-        "comm.reduce_bytes": 0,
-        "comm.gather_bytes": 0,
-    })
-    return result, report
+    return result, CommReport(
+        procs, grid.shape, [], {name: 0 for name in _COUNTERS}
+    )
 
 
 def execute_sharded(
@@ -962,6 +749,11 @@ def execute_sharded(
     local_backend = get_backend(local_backend).name
     if local_backend == "mp-shard":
         raise ReproError("mp-shard cannot be its own local backend")
+    if local_backend not in KERNEL_BACKENDS:
+        raise ReproError(
+            "mp-shard runs its blocks on %s, not %r"
+            % (", ".join(KERNEL_BACKENDS), local_backend)
+        )
     if procs is None:
         procs = default_procs()
     if procs < 1:
@@ -971,25 +763,31 @@ def execute_sharded(
     options = comm_options if comm_options is not None else ALL_COMM_OPTS
     initial_arrays = validate_inputs(program, initial_arrays)
     started = time.perf_counter()
-    if procs == 1 or not grid.cut_dimensions():
+    whole_program = program_fallback_reason(program) is not None
+    if procs == 1 or not grid.cut_dimensions() or whole_program:
         result, report = _single_process(
             program, initial_arrays, local_backend, procs, grid
         )
+        report.counters["comm.fallback_programs"] = int(whole_program)
         _emit_obs(report, metrics, tracer, time.perf_counter() - started)
         return result, report
 
-    env = int_config_env(program.configs)
-    layout = ShardLayout(program, grid, env)
+    table, built = kernel_table(program, grid, local_backend)
+    layout = table.layout
     sid = "rs%s" % uuid.uuid4().hex[:10]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
-        ctx = multiprocessing.get_context("spawn")
+        raise BackendUnavailableError(
+            "mp-shard needs fork() to share its kernels with the ranks"
+        )
     barrier = ctx.Barrier(procs)
     result_queue = ctx.Queue()
     error_queue = ctx.Queue()
-
-    from multiprocessing import shared_memory
+    # One tracker for every rank: started here, before the fork, or each
+    # rank would start its own and report the segments it attached to
+    # as leaked (see _Worker._segment).
+    resource_tracker.ensure_running()
 
     out_names: Dict[str, str] = {}
     out_segments = []
@@ -1010,9 +808,8 @@ def execute_sharded(
             ctx.Process(
                 target=_worker_main,
                 args=(
-                    worker_rank, program, layout, options, local_backend,
-                    sid, barrier, initial_arrays, out_names,
-                    result_queue, error_queue,
+                    worker_rank, program, table, options, sid, barrier,
+                    initial_arrays, out_names, result_queue, error_queue,
                 ),
             )
             for worker_rank in range(procs)
@@ -1036,10 +833,14 @@ def execute_sharded(
             process.join(timeout=5 if failure is None else 1)
             if process.is_alive():
                 process.terminate()
-        if failure is None and not error_queue.empty():
-            failure = error_queue.get()
-        if failure is not None:
-            failed_rank, text = failure
+        failures = [failure] if failure is not None else []
+        while not error_queue.empty():
+            failures.append(error_queue.get())
+        for _rank, _text, message in failures:
+            if message is not None:
+                raise InterpError(message)
+        if failures:
+            failed_rank, text, _message = failures[0]
             raise ReproError(
                 "mp-shard worker %d failed:\n%s" % (failed_rank, text)
             )
@@ -1065,6 +866,7 @@ def execute_sharded(
                 pass
 
     rank0 = next(s for s in summaries if s["rank"] == 0)
+    table.plans.update(rank0["plans"])
     records = [
         ExchangeRecord(
             raw["ordinal"], tuple(raw["arrays"]), raw["events"],
@@ -1084,6 +886,7 @@ def execute_sharded(
             counters[name] = counters.get(name, 0) + value
     for record in records:
         record.measured_bytes = measured_total.get(record.ordinal, 0)
+    counters["mp_shard.kernels_built"] = built
     report = CommReport(procs, grid.shape, records, counters)
     scalars = dict(rank0["scalars"])
     result = ExecutionResult(arrays, scalars)

@@ -180,12 +180,13 @@ def _scratch_dir() -> str:
 
 
 class NativeKernel:
-    """A loaded shared object exposing ``int repro_run(void **bufs)``."""
+    """One ``int <entry>(void **bufs)`` function of a loaded shared object."""
 
-    def __init__(self, so_path: str) -> None:
+    def __init__(self, so_path: str, entry: str = "repro_run") -> None:
         self.path = so_path
+        self.entry = entry
         self._lib = ctypes.CDLL(so_path)
-        self._fn = self._lib.repro_run
+        self._fn = getattr(self._lib, entry)
         self._fn.restype = ctypes.c_int
         self._fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
 
@@ -200,7 +201,7 @@ class NativeKernel:
             raise InterpError("native kernel returned status %d" % status)
 
 
-def load_kernel(so_bytes: bytes) -> NativeKernel:
+def load_kernel(so_bytes: bytes, entry: str = "repro_run") -> NativeKernel:
     """Materialize shared-object bytes on disk and dlopen them."""
     digest = hashlib.sha256(so_bytes).hexdigest()[:24]
     path = os.path.join(_scratch_dir(), "kernel-%s.so" % digest)
@@ -209,7 +210,7 @@ def load_kernel(so_bytes: bytes) -> NativeKernel:
         with open(tmp, "wb") as handle:
             handle.write(so_bytes)
         os.replace(tmp, path)
-    return NativeKernel(path)
+    return NativeKernel(path, entry)
 
 
 def marshal_buffers(
@@ -271,7 +272,9 @@ def remember_kernel(source: str, cc: str, kernel: NativeKernel) -> None:
     _kernel_memo[_memo_key(source, cc)] = kernel
 
 
-def kernel_for_source(source: str, cc: Optional[str] = None) -> NativeKernel:
+def kernel_for_source(
+    source: str, cc: Optional[str] = None, entry: str = "repro_run"
+) -> NativeKernel:
     """Compile (or reuse) the kernel for one rendered translation unit."""
     cc = cc or find_cc()
     if cc is None:
@@ -281,8 +284,10 @@ def kernel_for_source(source: str, cc: Optional[str] = None) -> NativeKernel:
         )
     kernel = cached_kernel(source, cc)
     if kernel is None:
-        kernel = load_kernel(compile_shared(source, cc))
+        kernel = load_kernel(compile_shared(source, cc), entry)
         remember_kernel(source, cc, kernel)
+    if kernel.entry != entry:
+        kernel = NativeKernel(kernel.path, entry)
     return kernel
 
 

@@ -289,6 +289,12 @@ COUNTERS: List[CounterDef] = [
         "execution would violate an intra-nest cut-dimension dependence.",
     ),
     CounterDef(
+        "comm.fallback_programs",
+        "mp-shard executes run whole in the calling process, before any "
+        "fork, because the program has a construct the sharded walk does "
+        "not support (a boundary statement).",
+    ),
+    CounterDef(
         "comm.reduce_bytes",
         "Bytes of materialized reduction operands gathered to rank 0 so "
         "scalar folds match the oracle bit-for-bit (kept apart from "
@@ -303,6 +309,18 @@ COUNTERS: List[CounterDef] = [
         "daemon.worker_cc",
         "Host C-compiler invocations inside worker processes (zero on a "
         "warm .so cache).",
+    ),
+    CounterDef(
+        "mp_shard.kernels_built",
+        "mp-shard shard kernels rendered and compiled in the coordinating "
+        "process before the fork (zero on a warm execute of the same "
+        "program).",
+    ),
+    CounterDef(
+        "mp_shard.worker_compiles",
+        "compile() calls and C-compiler spawns inside mp-shard worker "
+        "processes, summed over ranks (zero: every kernel is built before "
+        "the fork).",
     ),
 ]
 

@@ -64,6 +64,7 @@ from repro.parallel.distribution import ProcessorGrid
 from repro.scalarize.loopnest import (
     LoopNest,
     ReductionLoop,
+    SBoundary,
     ScalarProgram,
     SeqLoop,
     SIf,
@@ -84,18 +85,18 @@ class ShardError(ReproError):
     """A program shape the sharded backend cannot distribute."""
 
 
-def _walk_exec_nodes(body: Sequence[SNode]) -> Iterable[SNode]:
+def exec_nodes(body: Sequence[SNode]) -> Iterable[SNode]:
     """All LoopNest/ReductionLoop nodes, recursing through control flow."""
     for node in body:
         if isinstance(node, (LoopNest, ReductionLoop)):
             yield node
         elif isinstance(node, SeqLoop):
-            yield from _walk_exec_nodes(node.body)
+            yield from exec_nodes(node.body)
         elif isinstance(node, SIf):
-            yield from _walk_exec_nodes(node.then_body)
-            yield from _walk_exec_nodes(node.else_body)
+            yield from exec_nodes(node.then_body)
+            yield from exec_nodes(node.else_body)
         elif isinstance(node, SWhile):
-            yield from _walk_exec_nodes(node.body)
+            yield from exec_nodes(node.body)
 
 
 def _node_refs(node: SNode) -> List[ir.ArrayRef]:
@@ -111,7 +112,7 @@ def program_rank(program: ScalarProgram) -> int:
     rank = 0
     for region, _kind in program.array_allocs.values():
         rank = max(rank, region.rank)
-    for node in _walk_exec_nodes(program.body):
+    for node in exec_nodes(program.body):
         rank = max(rank, node.region.rank)
     return rank
 
@@ -122,7 +123,7 @@ def halo_widths(program: ScalarProgram) -> Dict[str, Tuple[int, ...]]:
         name: [0] * region.rank
         for name, (region, _kind) in program.array_allocs.items()
     }
-    for node in _walk_exec_nodes(program.body):
+    for node in exec_nodes(program.body):
         for ref in _node_refs(node):
             have = widths.get(ref.name)
             if have is None:
@@ -153,8 +154,8 @@ def _balanced_chunks(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
 class ShardLayout:
     """Where every element lives: chunks, ownership, local allocations.
 
-    Built once per (program, grid); picklable, so the coordinator can
-    ship it to spawned workers unchanged.
+    Built once per (program, grid) and kept in the mp-shard kernel
+    table (:mod:`repro.exec.shard_kernels`), which forked ranks inherit.
     """
 
     def __init__(self, program: ScalarProgram, grid: ProcessorGrid,
@@ -196,7 +197,7 @@ class ShardLayout:
         if lo is None:
             # No allocated arrays reach this dimension (e.g. a scalar-only
             # program like EP): partition the union of static node regions.
-            for node in _walk_exec_nodes(program.body):
+            for node in exec_nodes(program.body):
                 region = node.region
                 if region.rank < dim:
                     continue
@@ -650,6 +651,31 @@ def plan_run(
 
 
 # -- clamp-safety analysis -------------------------------------------------
+
+
+def program_fallback_reason(program: ScalarProgram) -> Optional[str]:
+    """Why a program cannot run sharded at all, or None.
+
+    The sharded walk has no distributed halo fill, so a program with a
+    boundary statement (wrap/reflect) runs whole in one process instead.
+    """
+    def visit(body: Sequence[SNode]) -> Optional[str]:
+        for node in body:
+            if isinstance(node, SBoundary):
+                return "%s boundary on %r has no sharded form" % (
+                    node.kind, node.array
+                )
+            inner: List[SNode] = []
+            if isinstance(node, (SeqLoop, SWhile)):
+                inner = node.body
+            elif isinstance(node, SIf):
+                inner = node.then_body + node.else_body
+            reason = visit(inner)
+            if reason:
+                return reason
+        return None
+
+    return visit(program.body)
 
 
 def nest_fallback_reason(node: SNode, layout: ShardLayout,

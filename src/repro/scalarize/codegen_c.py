@@ -27,12 +27,12 @@ required to be *bit-identical* to :mod:`codegen_py` (see
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
-from repro.scalarize.emit_common import infer_expr_kind
+from repro.scalarize.emit_common import infer_expr_kind, kernel_int_names
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
@@ -142,6 +142,21 @@ def _c_reduce_init(op: str, kind: str) -> str:
     return init
 
 
+def _translation_unit(lines: List[str], helpers: set) -> str:
+    """The standard header, the helpers in use, then ``lines``."""
+    header = [
+        "/* generated by repro (array-level fusion + contraction) */",
+        "#include <math.h>",
+        "#include <stdint.h>",
+        "",
+    ]
+    for name in _HELPER_ORDER:
+        if name in helpers:
+            header.extend(_HELPERS[name])
+            header.append("")
+    return "\n".join(header + lines) + "\n"
+
+
 class AbiEntry(NamedTuple):
     """One slot of the ``repro_run(void **bufs)`` buffer vector."""
 
@@ -149,7 +164,7 @@ class AbiEntry(NamedTuple):
     role: str  #: "array" or "scalar"
     kind: str  #: element kind ("float" / "integer" / "boolean")
     shape: Tuple[int, ...]  #: allocation-region shape; () for scalars
-    bases: Tuple[int, ...]  #: constant lower bound per dimension
+    bases: Tuple[int, ...]  #: lower bound per dimension (symbolic in kernels)
 
 
 def c_abi(program: ScalarProgram) -> List[AbiEntry]:
@@ -211,17 +226,7 @@ class CGenerator:
             self._render_module()
         else:
             self._render_inspection()
-        header = [
-            "/* generated by repro (array-level fusion + contraction) */",
-            "#include <math.h>",
-            "#include <stdint.h>",
-            "",
-        ]
-        for name in _HELPER_ORDER:
-            if name in self._helpers:
-                header.extend(_HELPERS[name])
-                header.append("")
-        return "\n".join(header + self._lines) + "\n"
+        return _translation_unit(self._lines, self._helpers)
 
     # ------------------------------------------------------------------
 
@@ -232,16 +237,41 @@ class CGenerator:
         self._emit("}")
 
     def _render_module(self) -> None:
-        abi = c_abi(self._program)
         self._emit("int repro_run(void **_bufs) {")
         for name in sorted(self._region_free_config_names()):
             self._emit("const int64_t %s = %d;" % (name, self._env[name]), 1)
-        for slot, entry in enumerate(abi):
+        self._emit_entry_body(c_abi(self._program), 0)
+
+    def _render_kernel(self, entry: str) -> None:
+        """One kernel function (see :func:`render_c_kernels`)."""
+        self._emit("int %s(void **_bufs) {" % entry)
+        self._emit("const int64_t *_ints = (const int64_t *) _bufs[0];", 1)
+        for index, name in enumerate(kernel_int_names(self._program)):
+            self._emit("const int64_t %s = _ints[%d];" % (name, index), 1)
+        abi = [
+            AbiEntry(
+                name, "array", kind,
+                tuple(hi - lo + 1 for lo, hi in region.dims),
+                tuple(lo for lo, _hi in region.dims),
+            )
+            for name, (region, kind) in sorted(
+                self._program.array_allocs.items()
+            )
+        ] + [
+            AbiEntry(name, "scalar", kind, (), ())
+            for name, kind in sorted(self._program.scalars.items())
+        ]
+        self._emit_entry_body(abi, 1)
+
+    def _emit_entry_body(self, abi: List[AbiEntry], first_slot: int) -> None:
+        """Buffer casts, scalar loads, the body and scalar write-backs;
+        ``abi`` occupies ``_bufs`` from ``first_slot`` on."""
+        for slot, entry in enumerate(abi, first_slot):
             if entry.role != "array":
                 continue
             self._bases[entry.name] = list(entry.bases)
             self._emit(self._buffer_cast(entry, slot), 1)
-        for slot, entry in enumerate(abi):
+        for slot, entry in enumerate(abi, first_slot):
             if entry.role != "scalar":
                 continue
             ctype = _C_TYPES[entry.kind]
@@ -255,7 +285,7 @@ class CGenerator:
                 "int64_t %s;" % ", ".join(loop_variable(d) for d in dims), 1
             )
         self._emit_body(self._program.body, 1)
-        for slot, entry in enumerate(abi):
+        for slot, entry in enumerate(abi, first_slot):
             if entry.role != "scalar":
                 continue
             ctype = _C_TYPES[entry.kind]
@@ -269,11 +299,12 @@ class CGenerator:
     def _buffer_cast(entry: AbiEntry, slot: int) -> str:
         """Zero-copy pointer-to-array cast for one buffer slot.
 
-        Extents are compile-time constants, so multi-dimensional arrays
-        cast to pointer-to-row types and index with plain ``A[i][j]``.
+        Multi-dimensional arrays cast to pointer-to-row types and index
+        with plain ``A[i][j]``; kernel extents are runtime arguments, which
+        makes the row type variably modified (C99).
         """
         ctype = _C_TYPES[entry.kind]
-        tail = "".join("[%d]" % e for e in entry.shape[1:])
+        tail = "".join("[%s]" % e for e in entry.shape[1:])
         if tail:
             return "%s (*%s)%s = (%s (*)%s) _bufs[%d];" % (
                 ctype,
@@ -596,7 +627,11 @@ class CGenerator:
                 )
                 continue
             shift = off - base
-            if shift > 0:
+            if isinstance(shift, LinearExpr):
+                indices.append("[%s]" % self._linexpr(
+                    LinearExpr.variable(loop_variable(dim)) + shift
+                ))
+            elif shift > 0:
                 indices.append("[%s + %d]" % (loop_variable(dim), shift))
             elif shift < 0:
                 indices.append("[%s - %d]" % (loop_variable(dim), -shift))
@@ -716,3 +751,22 @@ def render_c_module(program: ScalarProgram) -> str:
     success, 1 on a reduction over an empty region.
     """
     return CGenerator(program, module=True).render()
+
+
+def render_c_kernels(programs: Sequence[ScalarProgram]) -> str:
+    """One translation unit holding ``int repro_k<i>(void **bufs)`` for
+    the ``i``-th kernel program (see
+    :func:`repro.scalarize.emit_common.kernel_int_names`).
+
+    ``bufs[0]`` points at the int64 arguments; arrays in sorted-name
+    order follow, then one-element scalar buffers the kernel writes
+    back.  Returns 0, or 1 on a reduction over an empty region.
+    """
+    lines: List[str] = []
+    helpers: set = set()
+    for index, program in enumerate(programs):
+        generator = CGenerator(program, module=True)
+        generator._render_kernel("repro_k%d" % index)
+        lines += generator._lines + [""]
+        helpers |= generator._helpers
+    return _translation_unit(lines, helpers)

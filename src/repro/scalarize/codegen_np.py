@@ -47,7 +47,7 @@ from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
 from repro.ir.region import Region
 from repro.scalarize.codegen_py import PyGenerator
-from repro.scalarize.emit_common import NP_INTRINSICS, bound_text
+from repro.scalarize.emit_common import NP_INTRINSICS, bound_text, index_text
 from repro.scalarize.loopnest import (
     ElemAssign,
     LoopNest,
@@ -395,10 +395,8 @@ class NumpyGenerator(PyGenerator):
                 indices.append(
                     "%s:%s" % (bound_text(lo, shift), bound_text(hi, shift + 1))
                 )
-            elif shift:
-                indices.append("%s %+d" % (loop_variable(dim), shift))
             else:
-                indices.append(loop_variable(dim))
+                indices.append(index_text(loop_variable(dim), shift))
         return "%s[%s]" % (array, ", ".join(indices))
 
     def _index_grid(self, dim: int, ctx: _VectorContext) -> str:
@@ -456,6 +454,12 @@ def render_numpy(
 ) -> str:
     """Render a scalarized program as vectorized NumPy source."""
     return NumpyGenerator(program, env).render()
+
+
+def render_numpy_kernel(program: ScalarProgram) -> str:
+    """Render a kernel program as slice operations (see
+    :meth:`repro.scalarize.codegen_py.PyGenerator.render_kernel`)."""
+    return NumpyGenerator(program).render_kernel()
 
 
 def execute_numpy(

@@ -26,8 +26,10 @@ from repro.scalarize.emit_common import (
     PY_INTRINSICS,
     SCALAR_INIT,
     bound_text,
+    index_text,
     infer_expr_kind,
     int_config_env,
+    kernel_int_names,
     reduce_init_literal,
 )
 from repro.scalarize.loopnest import (
@@ -78,6 +80,31 @@ class PyGenerator:
         self._emit_allocations()
         self._emit_body(self._program.body, 1)
         self._emit_return()
+        return "\n".join(self._lines) + "\n"
+
+    def render_kernel(self) -> str:
+        """Render a kernel program as ``kernel(_arrays, _ints, _scalars)``.
+
+        See :func:`repro.scalarize.emit_common.kernel_int_names` for the
+        argument convention: arrays update in place, and the kernel
+        returns the final value of every scalar it was passed.
+        """
+        self._lines = self._preamble()[:-1]
+        self._emit("def kernel(_arrays, _ints, _scalars):", 0)
+        arrays = sorted(self._program.array_allocs)
+        for name in arrays:
+            region, _kind = self._program.array_allocs[name]
+            self._bases[name] = tuple(lo for lo, _hi in region.dims)
+        scalars = sorted(self._program.scalars)
+        for names, source in (
+            (arrays, "_arrays"),
+            (kernel_int_names(self._program), "_ints"),
+            (scalars, "_scalars"),
+        ):
+            if names:
+                self._emit("(%s,) = %s" % (", ".join(names), source))
+        self._emit_body(self._program.body, 1)
+        self._emit("return (%s)" % "".join(name + ", " for name in scalars))
         return "\n".join(self._lines) + "\n"
 
     def _region_free_variables(self) -> set:
@@ -329,11 +356,7 @@ class PyGenerator:
                 else:
                     indices.append("%s %% %d" % (loop_variable(dim), wrap[1]))
                 continue
-            shift = off - base
-            if shift:
-                indices.append("%s %+d" % (loop_variable(dim), shift))
-            else:
-                indices.append(loop_variable(dim))
+            indices.append(index_text(loop_variable(dim), off - base))
         return "%s[%s]" % (array, ", ".join(indices))
 
     def _expr(self, expr: ir.IRExpr) -> str:
@@ -383,6 +406,11 @@ def render_python(
     configuration scalars; it defaults to the program's own config table.
     """
     return PyGenerator(program, env).render()
+
+
+def render_python_kernel(program: ScalarProgram) -> str:
+    """Render a kernel program as element loops (see ``render_kernel``)."""
+    return PyGenerator(program).render_kernel()
 
 
 def execute_python(

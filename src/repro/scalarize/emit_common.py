@@ -11,10 +11,11 @@ interpreters in :mod:`repro.interp`.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.ir import expr as ir
 from repro.ir.linexpr import LinearExpr
+from repro.ir.region import Region
 from repro.util.errors import InputError, ScalarizationError
 
 #: Element-kind -> numpy dtype attribute name (matches interp.storage).
@@ -234,3 +235,61 @@ def bound_text(bound: LinearExpr, shift: int = 0) -> str:
     if shifted.is_constant:
         return str(shifted.const)
     return "(%s)" % str(shifted).replace(" ", "")
+
+
+def index_text(var: str, shift) -> str:
+    """A loop variable plus a storage shift, as Python source.
+
+    Integer shifts render as ``_i1 +2``; symbolic shifts (kernels whose
+    allocation bases are runtime arguments) render through
+    :func:`bound_text`, e.g. ``(-_b0_1+_i1+1)``.
+    """
+    if isinstance(shift, LinearExpr):
+        if not shift.is_constant:
+            return bound_text(LinearExpr.variable(var) + shift)
+        shift = shift.const
+    return "%s %+d" % (var, shift) if shift else var
+
+
+# -- kernel programs -------------------------------------------------------
+#
+# A *kernel program* is a one-node ScalarProgram whose node region and
+# allocation regions are symbolic, so one rendered kernel serves every
+# block it is called on.  Its entry point takes three arguments:
+#
+# * the arrays, in sorted-name order, updated in place;
+# * the integers :func:`kernel_int_names` lists: the node region's
+#   ``_lo<d>``/``_hi<d>``, then per array slot and dimension the base
+#   ``_b<slot>_<d>`` and extent ``_e<slot>_<d>`` of the buffer passed;
+# * every scalar the node reads or writes, in sorted-name order; the
+#   kernel returns their final values in the same order.
+
+
+def kernel_region(rank: int) -> Region:
+    """The symbolic node region ``[_lo1.._hi1, ...]`` of a kernel."""
+    return Region([
+        (LinearExpr.variable("_lo%d" % d), LinearExpr.variable("_hi%d" % d))
+        for d in range(1, rank + 1)
+    ])
+
+
+def kernel_alloc(slot: int, rank: int) -> Region:
+    """The symbolic allocation region of the array in ``slot``."""
+    dims = []
+    for d in range(1, rank + 1):
+        base = LinearExpr.variable("_b%d_%d" % (slot, d))
+        extent = LinearExpr.variable("_e%d_%d" % (slot, d))
+        dims.append((base, base + extent - 1))
+    return Region(dims)
+
+
+def kernel_int_names(program) -> List[str]:
+    """The integer arguments of a kernel program, in argument order."""
+    (node,) = program.body
+    names = []
+    for d in range(1, node.region.rank + 1):
+        names += ["_lo%d" % d, "_hi%d" % d]
+    for slot, name in enumerate(sorted(program.array_allocs)):
+        for d in range(1, program.array_allocs[name][0].rank + 1):
+            names += ["_b%d_%d" % (slot, d), "_e%d_%d" % (slot, d)]
+    return names

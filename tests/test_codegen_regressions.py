@@ -32,7 +32,18 @@ from repro.scalarize.codegen_py import render_python
 from repro.scalarize.loopnest import ElemAssign, LoopNest, SBoundary, ScalarProgram
 from repro.util.errors import InterpError
 
-ALL_BACKEND_NAMES = sorted(BACKENDS)
+#: Every backend; mp-shard at explicit worker counts (id ``mp-shard`` is
+#: procs=2) so sharded coverage does not depend on the host's CPU count.
+BACKEND_CASES = [
+    pytest.param(name, {}, id=name) for name in sorted(BACKENDS)
+    if name != "mp-shard"
+] + [
+    pytest.param(
+        "mp-shard", {"procs": procs},
+        id="mp-shard" if procs == 2 else "mp-shard-p%d" % procs,
+    )
+    for procs in (1, 2, 4)
+]
 
 
 def compile_at(source, level):
@@ -57,12 +68,12 @@ end;
 """
 
 
-@pytest.mark.parametrize("backend", ALL_BACKEND_NAMES)
-def test_mod_is_floored_on_negative_operands(backend):
+@pytest.mark.parametrize("backend,options", BACKEND_CASES)
+def test_mod_is_floored_on_negative_operands(backend, options):
     program, scalar_program = compile_at(MOD_SOURCE, BASELINE)
     reference = run_reference(program)
     assert float(reference.scalars["s"]) == 2.0  # np.mod(-3.0, 5.0)
-    result = execute(scalar_program, backend)
+    result = execute(scalar_program, backend, **options)
     assert float(result.scalars["s"]) == 2.0
     # Element-wise: mod(-2..1, 5) = [3, 4, 0, 1] under floored semantics.
     assert np.allclose(result.arrays["A"], reference.arrays["A"])
@@ -124,11 +135,11 @@ end;
 """
 
 
-@pytest.mark.parametrize("backend", ALL_BACKEND_NAMES)
+@pytest.mark.parametrize("backend,options", BACKEND_CASES)
 @pytest.mark.parametrize("level", ALL_LEVELS, ids=lambda l: l.name)
-def test_integer_reductions_stay_integral(backend, level):
+def test_integer_reductions_stay_integral(backend, options, level):
     _program, scalar_program = compile_at(INT_REDUCE_SOURCE, level)
-    result = execute(scalar_program, backend)
+    result = execute(scalar_program, backend, **options)
     for name, expected in (("k", -6), ("m", -30)):
         value = result.scalars[name]
         assert isinstance(
@@ -193,15 +204,15 @@ def empty_reduction_program(lo=3, hi=2):
     )
 
 
-@pytest.mark.parametrize("backend", ALL_BACKEND_NAMES)
-def test_empty_reduction_loop_raises_on_every_backend(backend):
+@pytest.mark.parametrize("backend,options", BACKEND_CASES)
+def test_empty_reduction_loop_raises_on_every_backend(backend, options):
     with pytest.raises(InterpError, match="empty region"):
-        execute(empty_reduction_program(), backend)
+        execute(empty_reduction_program(), backend, **options)
 
 
-@pytest.mark.parametrize("backend", ALL_BACKEND_NAMES)
-def test_nonempty_reduction_loop_still_works(backend):
-    result = execute(empty_reduction_program(2, 4), backend)
+@pytest.mark.parametrize("backend,options", BACKEND_CASES)
+def test_nonempty_reduction_loop_still_works(backend, options):
+    result = execute(empty_reduction_program(2, 4), backend, **options)
     assert float(result.scalars["s"]) == 3.0
 
 
@@ -240,9 +251,9 @@ def config_bound_program():
     )
 
 
-@pytest.mark.parametrize("backend", ALL_BACKEND_NAMES)
-def test_config_dependent_bounds_execute(backend):
-    result = execute(config_bound_program(), backend)
+@pytest.mark.parametrize("backend,options", BACKEND_CASES)
+def test_config_dependent_bounds_execute(backend, options):
+    result = execute(config_bound_program(), backend, **options)
     array = result.arrays["A"]
     assert array.shape == (7,)  # halo [0..n+1] with n = 5
     assert np.allclose(array[1:6], [2.0, 4.0, 6.0, 8.0, 10.0])

@@ -9,8 +9,9 @@ import pytest
 
 import repro.parallel
 from repro.benchsuite import get_benchmark
-from repro.exec.backends import execute
+from repro.exec.backends import execute, get_backend
 from repro.exec.mp_shard import execute_sharded
+from repro.exec.shard_kernels import kernel_table
 from repro.fusion import ALL_LEVELS
 from repro.parallel.comm import analyze_run
 from repro.parallel.commopt import (
@@ -225,25 +226,58 @@ class TestExecution:
         table = exchange_table([row])
         assert bench in table and "| yes |" in table
 
-    def test_registry_and_aliases_execute(self):
+    @pytest.mark.parametrize("procs", [1, 2, 4])
+    def test_registry_and_aliases_execute(self, procs):
         program = bench_program("Simple")
         oracle = execute(program, "codegen_np")
         for alias in ("mp-shard", "shard", "mp_shard"):
-            result = execute(program, alias, procs=2)
+            result = execute(program, alias, procs=procs)
             assert_identical(result, oracle)
 
-    def test_local_backend_py(self):
+    @pytest.mark.parametrize("procs", [1, 2, 4])
+    def test_local_backend_py(self, procs):
         # The local executor decides scalar accumulation order, so the
         # matching oracle is codegen_py, not codegen_np.
         program = bench_program("Simple")
         oracle = execute(program, "codegen_py")
-        result = execute(program, "mp-shard", procs=2, local_backend="py")
+        result = execute(program, "mp-shard", procs=procs, local_backend="py")
         assert_identical(result, oracle)
 
     def test_mp_shard_rejects_itself_as_local_backend(self):
         program = bench_program("Simple")
         with pytest.raises(ReproError):
             execute_sharded(program, procs=2, local_backend="shard")
+
+    def test_local_backend_needs_a_kernel_entry_point(self):
+        program = bench_program("Simple")
+        with pytest.raises(ReproError, match="codegen_np, codegen_py, c"):
+            execute_sharded(program, procs=2, local_backend="interp")
+
+    @pytest.mark.parametrize("procs", [2, 4])
+    def test_boundary_program_runs_whole_before_fork(self, procs):
+        # The sharded walk has no distributed halo fill.
+        from tests.test_codegen_regressions import config_bound_program
+
+        program = config_bound_program()
+        oracle = execute(program, "codegen_np")
+        result, report = execute_sharded(program, procs=procs)
+        assert_identical(result, oracle)
+        assert report.counters["comm.fallback_programs"] == 1
+        assert report.counters["mp_shard.kernels_built"] == 0
+        assert report.exchanges == 0
+
+    @pytest.mark.parametrize("procs", [2, 4])
+    def test_fold_keeps_the_serial_prefix_of_a_fused_reduction(self, procs):
+        # At c2+f4 the reductions fuse into a nest whose outer loop
+        # carries a dependence: codegen_np sums it one row at a time,
+        # and so must the rank-0 fold, or the float sums round apart.
+        from repro.ir.normalize import normalize_source
+
+        program = compile_program(
+            normalize_source(FOLD_SOURCE), LEVELS["Level(c2+f4)"]
+        )
+        result, _report = execute_sharded(program, procs=procs)
+        assert_identical(result, execute(program, "codegen_np"))
 
     def test_comm_options_change_executed_exchanges(self):
         program = bench_program("Simple")
@@ -290,6 +324,149 @@ class TestExecution:
         assert counters.get("comm.bytes", 0) == sum(
             record.measured_bytes for record in report.records
         )
+
+
+# -- shard kernels: built once per program, before the fork -----------------
+
+KERNEL_SOURCE = """
+program kern;
+config n : integer = 12;
+region R = [1..n, 1..n];
+region I = [2..n-1, 2..n-1];
+var A, B, C : [R] float;
+var i : integer;
+var s, m : float;
+begin
+  [R] A := Index1 * 3.0 + Index2;
+  [I] B := A@(-1,0) + A@(1,0) + A@(0,-1) + A@(0,1) - 4.0 * A;
+  for i := 3 to n-1 do
+    [i, 2..n-1] C := C@(-1,0) * 0.5 + B;
+  end;
+  s := +<< [I] (B + C);
+  m := max<< [R] A;
+end;
+"""
+
+
+FOLD_SOURCE = """
+program fold;
+config n : integer = 6;
+region R = [1..n, 1..n];
+region I = [2..n-0, 2..n-0];
+var A, B, C, D, E : [R] float;
+var s, t : float;
+var i : integer;
+begin
+  [R] A := Index1 * 1.5 + Index2;
+  [R] B := Index1 - Index2 * 0.5;
+  [R] C := (Index1 * 3.7 + Index2 * 1.3) % 2.0;
+  [R] D := 1.0;
+  [R] E := 0.25 * Index2;
+  s := 0.5;
+  [R] D := abs(Index1 - 2);
+  [I] A := C@(-2,-2);
+  [R] D := (D@(0,1) + D@(1,0) + A@(0,1)) * 0.70;
+  [R] E := (D@(0,1) + D@(1,0) + A@(0,1)) * 0.81 + A;
+  t := (+<< [R] (A + B)) + (+<< [R] (C + D)) + (+<< [R] E);
+end;
+"""
+
+
+def kernel_program():
+    """A stencil, a row sweep with loop-dependent regions and two
+    reductions, all exact in binary: every local backend agrees with
+    codegen_np bit for bit, whatever the summation order."""
+    from repro.ir.normalize import normalize_source
+
+    return compile_program(normalize_source(KERNEL_SOURCE), LEVELS["Level(c2)"])
+
+
+class TestKernelCache:
+    @pytest.mark.parametrize("local", ["codegen_np", "py", "c"])
+    def test_second_execute_builds_and_compiles_nothing(self, local):
+        from repro.exec.native import cc_available
+
+        if local == "c" and not cc_available():
+            pytest.skip("no host C compiler")
+        program = kernel_program()
+        oracle = execute(program, "codegen_np")
+        grid = ProcessorGrid(2, program_rank(program))
+        reports, plans = [], []
+        for _ in range(2):
+            result, report = execute_sharded(
+                program, procs=2, local_backend=local
+            )
+            assert_identical(result, oracle)
+            check_report(report)
+            reports.append(report.counters)
+            table, _built = kernel_table(program, grid, get_backend(local).name)
+            plans.append(dict(table.plans))
+        assert reports[0]["mp_shard.kernels_built"] > 0
+        assert reports[1]["mp_shard.kernels_built"] == 0
+        for counters in reports:
+            assert counters["mp_shard.worker_compiles"] == 0
+            assert counters["comm.exchanges"] > 0
+        # The first execute's exchange plans served the second.
+        assert plans[0] and plans[1] == plans[0]
+
+    def test_kernels_cached_per_grid(self):
+        program = kernel_program()
+        counts = [
+            execute_sharded(program, procs=procs)[1].counters[
+                "mp_shard.kernels_built"
+            ]
+            for procs in (2, 4, 2, 4)
+        ]
+        assert counts[0] > 0 and counts[1] > 0
+        assert counts[2:] == [0, 0]
+
+LEAK_SCRIPT = """
+import numpy as np
+from repro.exec.mp_shard import execute_sharded
+from repro.fusion import ALL_LEVELS
+from repro.ir.normalize import normalize_source
+from repro.scalarize.scalarizer import compile_program
+
+c2 = {str(level): level for level in ALL_LEVELS}["Level(c2)"]
+for source in %r:
+    program = compile_program(normalize_source(source), c2)
+    execute_sharded(program, procs=2)
+"""
+
+NO_ARRAY_SOURCE = """
+program noarr;
+config n : integer = 8;
+region R = [1..n, 1..n];
+var s : float;
+begin
+  s := +<< [R] (Index1 * 1.0 + Index2);
+end;
+"""
+
+
+def test_sharded_run_leaks_no_segments_or_tracker_warnings():
+    # A program without arrays creates no segment before the fork, so
+    # each rank used to start its own resource tracker and report the
+    # segments it had attached to as leaked.
+    import os
+    import subprocess
+    import sys
+
+    shm = "/dev/shm"
+    if not os.path.isdir(shm):
+        pytest.skip("no /dev/shm")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    before = set(os.listdir(shm))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         LEAK_SCRIPT % ([NO_ARRAY_SOURCE, KERNEL_SOURCE],)],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "resource_tracker" not in proc.stderr, proc.stderr
+    assert set(os.listdir(shm)) - before == set()
 
 
 # -- zero-valued registered counters -----------------------------------------
